@@ -42,7 +42,7 @@ class OverheadBench extends SparkSpec {
     val (model, _, _) = Experiments.fitted(spark, Covid)
     val t0 = System.nanoTime()
     val r = model.forecaster.predict(model.trainCats, model.trainCats.length)
-    val plan = KnobPlanner.plan(Skyscraper.qualHat(model), model.costHat, r,
+    val plan = KnobPlanner.plan(model.qualHat, model.costHat, r,
                                 budgetPerSeg = 8.0 * Covid.segSec)
     val sec = (System.nanoTime() - t0) / 1e9
     println(f"knob planner: $sec%.4f s (paper: < 1 s)")

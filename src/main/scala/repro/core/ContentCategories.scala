@@ -10,7 +10,7 @@ import repro.util.KMeansLocal
   * category c is its KMeans center: the expected reported quality of every
   * config k on content of that category. The application-quality centers
   * q̂(k, c) the planner optimizes are computed separately per category
-  * (`Skyscraper.qualByCategory`).
+  * (`Skyscraper.meanByCategory`).
   */
 final case class ContentCategories(model: KMeansLocal.Model, discriminatorDim: Int) {
   /** Number of categories |C|. */

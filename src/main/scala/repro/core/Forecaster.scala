@@ -64,8 +64,12 @@ final class Forecaster(val spec: ForecastSpec, val nCategories: Int, segSec: Dou
   /** Train on the category sequence of the unlabeled data; returns best
     * validation loss (NaN if no windows fit).
     */
-  def fit(trainCats: Array[Int], epochs: Int = 40, lr: Double = 0.05): Double = {
-    val ws = windows(trainCats)
+  def fit(trainCats: Array[Int], epochs: Int = 40, lr: Double = 0.05): Double =
+    fitWindows(windows(trainCats), epochs, lr)
+
+  /** Train on prebuilt [[windows]]; returns best validation loss. */
+  def fitWindows(ws: Seq[(Array[Double], Array[Double])], epochs: Int = 40,
+                 lr: Double = 0.05): Double = {
     trainedWindows = ws.size
     net.fit(ws, epochs, lr)
   }

@@ -1,46 +1,17 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.workload.{ConfigProfile, Workload}
 
-/** Spark job computing the per-(segment, config) quality and cost matrices.
+/** Builds the per-(segment, config) quality, cost and reported-quality
+  * matrices of a stream.
   *
-  * This is the data-parallel heart of the reproduction: the cross of a
-  * multi-day segments DataFrame with the (small) configurations DataFrame,
-  * evaluated with the workload's columnar quality/cost model, then pivoted
-  * back into driver-side arrays for the sequential control loop.
+  * The segments come from one Spark job over the synthetic stream (no
+  * shuffle); the matrices are then filled on the driver from the workload's
+  * scalar model ([[Workload.quality]], [[Workload.reported]],
+  * [[Workload.costPerSec]]) — the one definition of the law.
   */
 object QualityMatrix {
-
-  /** Configs as a small DataFrame (id, unitCost, cap, rhoEff per regime).
-    * ρ·affinity is precomputed per (config, regime) on the driver so the
-    * columnar quality matches the scalar model bit-for-bit.
-    */
-  def configsDf(w: Workload, spark: SparkSession, configs: Seq[ConfigProfile]): DataFrame = {
-    import spark.implicits._
-    configs.map { p =>
-      val cap = if (p.streamCap.isInfinity) 1e9 else p.streamCap
-      val rhoEff = (0 until w.NRegimes).map(r => p.rho * w.affinity(p.cfg, r))
-      (p.id.toLong, p.unitCost, cap, rhoEff)
-    }.toDF("cfgId", "unitCost", "cap", "rhoEff")
-  }
-
-  /** Long-form (segId, cfgId, qual, costSeg) DataFrame over segments×configs. */
-  def longForm(w: Workload, segments: DataFrame, configs: Seq[ConfigProfile]): DataFrame = {
-    val spark = segments.sparkSession
-    val cfgs  = configsDf(w, spark, configs)
-    val joined = segments.crossJoin(cfgs)
-    val rhoEff = element_at(col("rhoEff"), col("regime") + 1)
-    joined.select(
-      col("segId"), col("cfgId"),
-      w.qualCol(col("segId"), col("cfgId"), rhoEff, col("cap"),
-                col("difficulty"), col("load"))                as "qual",
-      (w.costCol(col("unitCost"), col("cap"), col("load")) * w.segSec) as "costSeg",
-      w.reportedCol(col("segId"), col("cfgId"), rhoEff, col("cap"),
-                    col("difficulty"), col("load"))            as "report",
-    )
-  }
 
   /** Build the full [[SegmentTrace]] for `days` days of workload `w`,
     * restricted to configuration set `configs` (usually the filtered Pareto
@@ -48,50 +19,35 @@ object QualityMatrix {
     */
   def trace(spark: SparkSession, w: Workload, days: Int,
             configs: Vector[ConfigProfile], seed: Long = 7): SegmentTrace = {
-    val segments = w.stream(spark, days, seed).cache()
-    try {
-      val idToPos = configs.map(_.id).zipWithIndex.toMap
-      val k = configs.length
+    val rows = w.stream(spark, days, seed)
+      .select("segId", "day", "regime", "difficulty", "load")
+      .collect()
+    val n = rows.length
+    val k = configs.length
+    val day  = Array.ofDim[Int](n)
+    val reg  = Array.ofDim[Int](n)
+    val diff = Array.ofDim[Double](n)
+    val load = Array.ofDim[Double](n)
+    val qual = Array.ofDim[Double](n, k)
+    val cost = Array.ofDim[Double](n, k)
+    val rept = Array.ofDim[Double](n, k)
 
-      // Wide pivot: one row per segment, arrays of quality/cost in cfg order.
-      val lf = longForm(w, segments, configs)
-      val wide = lf
-        .groupBy("segId")
-        .agg(
-          sort_array(collect_list(struct(col("cfgId"), col("qual"), col("costSeg"),
-                                         col("report")))) as "percfg"
-        )
-        .join(segments.select("segId", "day", "regime", "difficulty", "load"), "segId")
-        .orderBy("segId")
-
-      val rows = wide.collect()
-      val n = rows.length
-      val day  = Array.ofDim[Int](n)
-      val reg  = Array.ofDim[Int](n)
-      val diff = Array.ofDim[Double](n)
-      val load = Array.ofDim[Double](n)
-      val qual = Array.ofDim[Double](n, k)
-      val cost = Array.ofDim[Double](n, k)
-      val rept = Array.ofDim[Double](n, k)
-
-      var i = 0
-      while (i < n) {
-        val r = rows(i)
-        val segId = r.getAs[Long]("segId").toInt
-        day(segId)  = r.getAs[Int]("day")
-        reg(segId)  = r.getAs[Int]("regime")
-        diff(segId) = r.getAs[Double]("difficulty")
-        load(segId) = r.getAs[Double]("load")
-        val percfg = r.getAs[scala.collection.Seq[Row]]("percfg")
-        percfg.foreach { pr =>
-          val pos = idToPos(pr.getAs[Long]("cfgId").toInt)
-          qual(segId)(pos) = pr.getAs[Double]("qual")
-          cost(segId)(pos) = pr.getAs[Double]("costSeg")
-          rept(segId)(pos) = pr.getAs[Double]("report")
-        }
-        i += 1
+    for (r <- rows) {
+      val segId = r.getLong(0)
+      val i = segId.toInt
+      day(i)  = r.getInt(1)
+      reg(i)  = r.getInt(2)
+      diff(i) = r.getDouble(3)
+      load(i) = r.getDouble(4)
+      var j = 0
+      while (j < k) {
+        val p = configs(j)
+        qual(i)(j) = w.quality(p, segId, diff(i), load(i), reg(i))
+        cost(i)(j) = w.costPerSec(p, load(i)) * w.segSec
+        rept(i)(j) = w.reported(p, segId, diff(i), load(i), reg(i))
+        j += 1
       }
-      SegmentTrace(w.segSec, day, reg, diff, load, configs, qual, cost, rept)
-    } finally segments.unpersist()
+    }
+    SegmentTrace(w.segSec, day, reg, diff, load, configs, qual, cost, rept)
   }
 }

@@ -6,8 +6,8 @@ import repro.workload.ConfigProfile
   * config) quality and cost matrices, produced by [[QualityMatrix]].
   *
   * All control-loop components (offline fit, planner, switcher, simulator,
-  * baselines) consume this; the data-parallel computation that fills it runs
-  * on Spark.
+  * baselines) consume this. The segments are generated on Spark; the
+  * matrices are evaluated on the driver from the workload's scalar model.
   *
   * @param segSec     segment length in seconds
   * @param day        day index per segment

@@ -44,8 +44,7 @@ object Skyscraper {
     val pre = preSample(spark, w, trD, hyper.preSampleSize, hyper.seed)
     val k   = Pareto.filterConfigs(w, pre, hyper.nSearch, hyper.maxK)
 
-    // 2. One quality/cost matrix over train+test for the filtered K (the
-    //    data-parallel Spark pass).
+    // 2. One quality/cost matrix over train+test for the filtered K.
     val full = QualityMatrix.trace(spark, w, trD + teD, k, hyper.seed)
     val split = full.dayStart(trD)
     val train = full.slice(0, split)
@@ -114,7 +113,7 @@ object Skyscraper {
   final class OnlineController(model: SkyscraperModel, cores: Int, nSegs: Int,
                                cloudBudget: Double, cloudPricePerCoreSec: Double,
                                useCloud: Boolean) extends Controller {
-    private val segSec      = segLenOf(model)
+    private val segSec      = model.workload.segSec
     private val horizonSegs =
       math.max(1, (model.hyper.forecast.horizonDays * 86400.0 / segSec).toInt)
     private val placements =
@@ -153,11 +152,6 @@ object Skyscraper {
       plansComputed += 1
     }
   }
-
-  /** q̂(c)(k): the per-category expected application quality. */
-  def qualHat(model: SkyscraperModel): Array[Array[Double]] = model.qualHat
-
-  private def segLenOf(model: SkyscraperModel): Double = model.workload.segSec
 
   /** Simulate Skyscraper ingesting `test` on `cores` with the given buffer
     * and cloud budget. `useBuffer=false` shrinks the buffer to one segment

@@ -134,18 +134,18 @@ object Experiments {
 
     // 4. Create forecast training data: process ALL unlabeled data with the
     //    cheapest config (Spark pass), classify, window into training pairs.
-    val ((trainCats, forecaster), tData) = timed {
+    val forecaster = new Forecaster(hyper.forecast, cats.n, w.segSec, hyper.seed)
+    val (windows, tData) = timed {
       val kMinus = Vector(k.head)
       val full = QualityMatrix.trace(spark, w, trD, kMinus, hyper.seed)
       // classify by the cheapest config's quality (Appendix H)
-      val catsArr = Array.tabulate(full.nSegments)(i =>
+      val trainCats = Array.tabulate(full.nSegments)(i =>
         cats.classifyOnline(0, full.qual(i)(0)))
-      val f = new Forecaster(hyper.forecast, cats.n, w.segSec, hyper.seed)
-      (catsArr, f)
+      forecaster.windows(trainCats)
     }
 
     // 5. Train the forecasting model.
-    val (_, tTrain) = timed(forecaster.fit(trainCats))
+    val (_, tTrain) = timed(forecaster.fitWindows(windows))
 
     Seq(
       T3Row("Filter knob configurations", tFilter),

@@ -5,8 +5,7 @@ package repro.util
   *
   * Skyscraper clusters |K|-dimensional quality vectors — at most a few
   * thousand points of dimension ≤ 10 — so a driver-local implementation is
-  * appropriate. The data-parallel part (computing the quality vectors over
-  * segments × configurations) runs in Spark (`repro.core.QualityMatrix`).
+  * appropriate. The quality vectors come from `repro.core.QualityMatrix`.
   */
 object KMeansLocal {
 

@@ -1,7 +1,6 @@
 package repro.workload
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.util.DetHash
 import repro.video.{StreamSpec, VideoSynth}
 
@@ -41,8 +40,8 @@ import repro.video.{StreamSpec, VideoSynth}
   * where ρ_k is the configuration's robustness and d_s the segment's latent
   * difficulty. Expensive configs (ρ→1) stay accurate on hard content; cheap
   * configs degrade — exactly the trade-off Skyscraper exploits (paper §1,
-  * Fig. 3). The per-(segment, config) noise term uses the deterministic hash
-  * so Spark and driver-side evaluations agree bit-for-bit.
+  * Fig. 3). The per-(segment, config) noise term uses the deterministic hash,
+  * so quality is a pure function of the (segment, config) pair.
   */
 trait Workload {
   def name: String
@@ -70,9 +69,6 @@ trait Workload {
     * multi-stream workloads carry their mass in `load` instead.
     */
   def qualityWeight(difficulty: Double): Double = 1.0
-
-  /** Columnar twin of [[qualityWeight]]; override together. */
-  def qualityWeightCol(difficulty: Column): Column = lit(1.0)
 
   /** Piecewise-linear robustness shaping: maps a raw knob score onto [0,1]
     * with a calibrated active band [lo, hi] and curvature `gamma`. Scores
@@ -118,18 +114,14 @@ trait Workload {
 
   final def profiles: Vector[ConfigProfile] = allConfigs.map(profile)
 
-  // ---- shared quality/cost model, scalar and columnar -----------------
+  // ---- shared quality/cost model ---------------------------------------
 
-  /** Scalar quality of config on a segment (driver-side twin of qualCol). */
+  /** Application quality of a config on a segment: the [[reported]] quality
+    * weighted by the segment's content mass.
+    */
   final def quality(p: ConfigProfile, segId: Long, difficulty: Double, load: Double,
-                    regime: Int = 0): Double = {
-    val coverage = math.min(p.streamCap, load) / math.max(load, 1.0)
-    val u = DetHash.uniform(segId, p.cfg.id.toLong + 101, 17L)
-    val rhoEff = p.rho * affinity(p.cfg, regime)
-    val q = math.exp(-(1.0 - rhoEff) * sevScale * math.pow(difficulty, sevPow)) +
-      noiseAmp * (u - 0.5)
-    qualityWeight(difficulty) * coverage * math.max(0.0, math.min(1.0, q))
-  }
+                    regime: Int = 0): Double =
+    qualityWeight(difficulty) * reported(p, segId, difficulty, load, regime)
 
   /** Scalar cost (core·s) to process ONE video-second of a segment. */
   final def costPerSec(p: ConfigProfile, load: Double): Double =
@@ -152,32 +144,4 @@ trait Workload {
       noiseAmp * (u - 0.5)
     coverage * math.max(0.0, math.min(1.0, q))
   }
-
-  /** Columnar twin of [[reported]] (same contract as [[qualCol]]). */
-  final def reportedCol(segId: Column, cfgId: Column, rhoEff: Column, cap: Column,
-                        difficulty: Column, load: Column): Column = {
-    val coverage = least(cap, load) / greatest(load, lit(1.0))
-    val u = DetHash.uniformCol(segId, cfgId + lit(101L), lit(17L))
-    val q = exp(-(lit(1.0) - rhoEff) * lit(sevScale) * pow(difficulty, lit(sevPow))) +
-      lit(noiseAmp) * (u - lit(0.5))
-    coverage * greatest(lit(0.0), least(lit(1.0), q))
-  }
-
-  /** Columnar quality; `rho`,`cap`,`cfgId` are columns of a configs DF
-    * cross-joined with the segments DF; `rhoEff` must already incorporate
-    * the regime affinity (ρ·affinity, selected per row by
-    * [[repro.core.QualityMatrix]]).
-    */
-  final def qualCol(segId: Column, cfgId: Column, rhoEff: Column, cap: Column,
-                    difficulty: Column, load: Column): Column = {
-    val coverage = least(cap, load) / greatest(load, lit(1.0))
-    val u = DetHash.uniformCol(segId, cfgId + lit(101L), lit(17L))
-    val q = exp(-(lit(1.0) - rhoEff) * lit(sevScale) * pow(difficulty, lit(sevPow))) +
-      lit(noiseAmp) * (u - lit(0.5))
-    qualityWeightCol(difficulty) * coverage * greatest(lit(0.0), least(lit(1.0), q))
-  }
-
-  /** Columnar per-video-second cost. */
-  final def costCol(unitCost: Column, cap: Column, load: Column): Column =
-    unitCost * least(cap, load)
 }
