@@ -1,31 +1,22 @@
 package repro.core
 
-import repro.workload.{ConfigProfile, KnobConfig, Workload}
+import repro.workload.{ConfigProfile, Workload}
 
-/** Offline filtering of the exponential knob-configuration grid down to an
-  * approximated work/quality Pareto frontier (paper §3.1, Appendix A.1).
+/** Offline filtering of the exponential knob-configuration grid down to the
+  * work/quality Pareto set (paper §3.1, Appendix A.1).
   *
-  * Mirrors the paper's procedure: sample content-diverse segments via greedy
-  * max-min selection over (k⁻, k⁺) quality vectors, run VideoStorm-style
-  * greedy hill climbing per sampled segment, union the climb paths, then
-  * prune to the dominance frontier.
+  * The paper approximates the frontier by VideoStorm-style hill climbing on
+  * content-diverse segments, because evaluating a config on a segment means
+  * running real CV models. Here a config's quality on a segment is an
+  * analytic function, so the filter takes the exact dominance frontier over
+  * the whole grid, once per content regime of the pre-sample. Climb paths
+  * could add nothing to that union: a climbed config is either on some
+  * regime's frontier already or dominated on every regime.
   */
 object Pareto {
 
   /** A sampled segment's content, enough to evaluate the analytic models. */
   final case class Seg(segId: Long, difficulty: Double, load: Double, regime: Int = 0)
-
-  /** Denoised quality of a config on a segment: profiling a segment averages
-    * over its frames, so the per-(segment, config) noise term averages out.
-    * Modeled as the mean over a small jitter set of segment ids.
-    */
-  def profiledQuality(w: Workload, p: ConfigProfile, seg: Seg): Double = {
-    val n = 9
-    var s = 0.0
-    var j = 0
-    while (j < n) { s += w.quality(p, seg.segId + 7919L * j, seg.difficulty, seg.load, seg.regime); j += 1 }
-    s / n
-  }
 
   /** Nominal cost of a config used for frontier ordering: work per
     * video-second at full load (caps bounded by the observed max load).
@@ -36,76 +27,6 @@ object Pareto {
   /** Cheapest configuration k⁻ (found by profiling runtimes in the paper). */
   def cheapest(w: Workload, maxLoad: Double): ConfigProfile =
     w.profiles.minBy(nominalCost(_, maxLoad))
-
-  /** Most qualitative configuration k⁺ (best mean quality on `sample`). */
-  def mostQualitative(w: Workload, sample: Seq[Seg]): ConfigProfile =
-    w.profiles.maxBy(p => sample.map(s => w.quality(p, s.segId, s.difficulty, s.load, s.regime)).sum)
-
-  /** Greedy max-min diverse subset of `pre` of size `nSearch`, using the
-    * 2-dim (k⁻, k⁺) quality vectors as the content signature (Appendix A.1).
-    */
-  def sampleDiverse(w: Workload, pre: Seq[Seg], nSearch: Int): Seq[Seg] = {
-    if (pre.isEmpty) return Nil
-    val maxLoad = pre.map(_.load).max
-    val kMinus  = cheapest(w, maxLoad)
-    val kPlus   = mostQualitative(w, pre)
-    val vecs = pre.map { s =>
-      (s, Array(w.quality(kMinus, s.segId, s.difficulty, s.load, s.regime),
-                w.quality(kPlus, s.segId, s.difficulty, s.load, s.regime)))
-    }
-    def d2(a: Array[Double], b: Array[Double]): Double = {
-      val dx = a(0) - b(0); val dy = a(1) - b(1); dx * dx + dy * dy
-    }
-    val chosen = scala.collection.mutable.ArrayBuffer[(Seg, Array[Double])]()
-    chosen += vecs.minBy { case (_, v) => v(0) * v(0) + v(1) * v(1) } // smallest L2 norm
-    while (chosen.length < math.min(nSearch, vecs.length)) {
-      val next = vecs
-        .filterNot(v => chosen.exists(_._1.segId == v._1.segId))
-        .maxBy { case (_, v) => chosen.map(c => d2(c._2, v)).min }
-      chosen += next
-    }
-    chosen.map(_._1).toSeq
-  }
-
-  /** Single-knob neighbours of `cfg` in the knob grid (±1 domain step). */
-  def neighbours(w: Workload, cfg: KnobConfig): Seq[KnobConfig] = {
-    val byValues = w.allConfigs.map(c => c.values -> c).toMap
-    w.knobs.indices.flatMap { i =>
-      val dom = w.knobs(i).domain
-      val pos = dom.indexOf(cfg.values(i))
-      Seq(pos - 1, pos + 1)
-        .filter(p => p >= 0 && p < dom.length)
-        .map(p => byValues(cfg.values.updated(i, dom(p))))
-    }
-  }
-
-  /** VideoStorm-style greedy hill climbing on one segment: walk up from k⁻,
-    * always taking the neighbour with the best Δquality/Δcost; the visited
-    * path approximates the segment's work/quality Pareto frontier.
-    */
-  def hillClimb(w: Workload, seg: Seg, maxLoad: Double): Vector[ConfigProfile] = {
-    var cur  = cheapest(w, maxLoad)
-    val path = scala.collection.mutable.ArrayBuffer(cur)
-    var improved = true
-    while (improved) {
-      improved = false
-      val curQ = profiledQuality(w, cur, seg)
-      val curC = nominalCost(cur, maxLoad)
-      val candidates = neighbours(w, cur.cfg).map(w.profile).flatMap { p =>
-        val q = profiledQuality(w, p, seg)
-        val c = nominalCost(p, maxLoad)
-        if (q > curQ + 1e-9 && c > curC) Some((p, (q - curQ) / (c - curC)))
-        else if (q > curQ + 1e-9 && c <= curC) Some((p, Double.MaxValue)) // free lunch
-        else None
-      }
-      if (candidates.nonEmpty) {
-        cur = candidates.maxBy(_._2)._1
-        path += cur
-        improved = true
-      }
-    }
-    path.toVector
-  }
 
   /** Keep only configs not dominated in (cost, mean quality on `sample`). */
   def dominanceFrontier(w: Workload, cands: Seq[ConfigProfile], sample: Seq[Seg],
@@ -125,30 +46,21 @@ object Pareto {
       .map(_._1)
   }
 
-  /** Full offline filter (paper Appendix A.1): diverse sampling + per-segment
-    * hill climbing, unioned with the exact global dominance frontier over the
-    * whole grid, pruned and thinned to at most `maxK` configs (always keeping
-    * the cheapest and the most expensive survivor).
-    *
-    * The paper relies on hill climbing alone because evaluating a config on
-    * a segment means running real CV models; with the analytic substrate the
-    * exact frontier is affordable and shields the filter from the wide
-    * quality plateaus the substrate's robustness shaping creates (a stuck
-    * climb would otherwise strand K at the cheap end).
+  /** Full offline filter (paper Appendix A.1): the union of the per-regime
+    * dominance frontiers over the whole grid, thinned to at most `maxK`
+    * configs (always keeping the cheapest config and each regime's best).
+    * `nSearch`, the paper's number of hill-climbed segments, has no effect:
+    * the frontiers are exact, so there is no search to size.
     */
   def filterConfigs(w: Workload, pre: Seq[Seg], nSearch: Int = 5,
                     maxK: Int = 10): Vector[ConfigProfile] = {
     val maxLoad = if (pre.isEmpty) 1.0 else pre.map(_.load).max
-    val search  = sampleDiverse(w, pre, nSearch)
-    val climbs  = search.flatMap(s => hillClimb(w, s, maxLoad))
     // Per-regime frontiers so specialist configs (great on one content type,
     // mediocre on average) survive — pruning on MEAN quality would drop
     // exactly the configs the knob plan wants to assign to rare categories.
+    // The dedupe keeps groupBy's order: `thin` breaks cost ties by position.
     val byRegime = pre.groupBy(_.regime).values.toSeq
-    val fronts = byRegime.flatMap(rs => dominanceFrontier(w, w.profiles, rs, maxLoad))
-    val union = (climbs ++ fronts :+ cheapest(w, maxLoad))
-      .groupBy(_.id).map(_._2.head).toVector
-    val kept = byRegime.flatMap(rs => dominanceFrontier(w, union, rs, maxLoad))
+    val kept = byRegime.flatMap(rs => dominanceFrontier(w, w.profiles, rs, maxLoad))
       .groupBy(_.id).map(_._2.head).toVector
       .sortBy(nominalCost(_, maxLoad))
 

@@ -4,7 +4,12 @@ import org.apache.spark.sql.SparkSession
 import repro.sim._
 import repro.workload.{ConfigProfile, Workload}
 
-/** Skyscraper hyperparameters (paper Appendix I defaults). */
+/** Skyscraper hyperparameters (paper Appendix I defaults).
+  *
+  * @param nSearch the paper's number of segments hill-climbed by the config
+  *                filter. It has no effect: `Pareto.filterConfigs` takes the
+  *                exact per-regime frontiers, so there is no search to size.
+  */
 final case class Hyper(
     nCategories: Int = 4,
     forecast: ForecastSpec = ForecastSpec(),

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{ChameleonStar, Optimum, StaticBaseline, VideoStormStar}
 import repro.core._
-import repro.sim.Machines
+import repro.sim.{ClusterSim, Machines}
 import repro.workload._
 
 /** Harnesses reproducing the paper's evaluation tables (see DESIGN.md §4).
@@ -24,9 +24,9 @@ object Experiments {
                           sampleEveryMin = 15)
     w match {
       case _: Mosei => Hyper(nCategories = 5, forecast = fc,
-        categorySampleFrac = 0.10, nSearch = 10, preSampleSize = 2000)
+        categorySampleFrac = 0.10, preSampleSize = 2000)
       case _ => Hyper(nCategories = 5, forecast = fc,
-        categorySampleFrac = 0.05, nSearch = 4, preSampleSize = 2000)
+        categorySampleFrac = 0.05, preSampleSize = 2000)
     }
   }
 
@@ -107,7 +107,7 @@ object Experiments {
       (r, (System.nanoTime() - t0) / 1e9)
     }
 
-    // 1. Filter knob configurations (diverse sampling + hill climbing).
+    // 1. Filter knob configurations (per-regime exact Pareto frontiers).
     val (pre, _) = timed(Skyscraper.preSample(spark, w, trD, hyper.preSampleSize, hyper.seed))
     val (k, tFilter) = timed(Pareto.filterConfigs(w, pre, hyper.nSearch, hyper.maxK))
 
@@ -115,13 +115,10 @@ object Experiments {
     //    config × placement split with the Appendix-M estimator.
     val (_, tPlace) = timed {
       val sample = pre.take(200)
-      for (p <- k; pl <- repro.sim.Placement.grid; s <- sample) yield {
-        val work = w.costPerSec(p, s.load) * w.segSec
-        val local = (1 - pl.cloudFrac) * work / 8.0
-        val upload = pl.cloudFrac * w.cloudBytesPerSec * math.min(p.streamCap, s.load) *
-          w.segSec / w.uplinkBytesPerSec
-        math.max(local, upload)
-      }
+      for (p <- k; pl <- repro.sim.Placement.grid; s <- sample) yield
+        ClusterSim.duration(w.costPerSec(p, s.load) * w.segSec,
+          math.min(p.streamCap, math.max(1.0, s.load)), pl, Machines.e2s8.vCpus,
+          w.segSec, w.cloudBytesPerSec, w.uplinkBytesPerSec)
     }
 
     // 3. Compute content categories: process a sample of the unlabeled data

@@ -178,17 +178,27 @@ final class ClusterSim(
               overflows, chosen, lastLag, maxLag)
   }
 
-  /** Wall-clock seconds to process segment `i` with (cfg, placement):
-    * local part parallelized over the cores, upload throttled by the uplink;
-    * cloud execution overlaps the upload window (Appendix M.1).
+  /** Wall-clock seconds to process segment `i` with (cfg, placement). */
+  def duration(i: Int, cfgIdx: Int, p: Placement): Double =
+    ClusterSim.duration(trace.cost(i)(cfgIdx),
+      math.min(trace.configs(cfgIdx).streamCap, math.max(1.0, trace.load(i))),
+      p, cores, dt, cloudBytesPerVideoSec, uplinkBytesPerSec)
+}
+
+object ClusterSim {
+
+  /** Appendix-M runtime estimator: wall-clock seconds to process one segment
+    * of `work` core·s under placement `p`. The local part is parallelized
+    * over the cores and the upload, which ships only the `analyzedStreams`
+    * the config actually analyzes, is throttled by the uplink; cloud
+    * execution overlaps the upload window.
     */
-  def duration(i: Int, cfgIdx: Int, p: Placement): Double = {
-    val w = trace.cost(i)(cfgIdx)
-    val localTime = (1.0 - p.cloudFrac) * w / cores
-    // Upload ships only the streams this config actually analyzes.
-    val analyzed =
-      math.min(trace.configs(cfgIdx).streamCap, math.max(1.0, trace.load(i)))
-    val uploadTime = p.cloudFrac * cloudBytesPerVideoSec * analyzed * dt / uplinkBytesPerSec
+  def duration(work: Double, analyzedStreams: Double, p: Placement, cores: Int,
+               segSec: Double, cloudBytesPerVideoSec: Double,
+               uplinkBytesPerSec: Double): Double = {
+    val localTime = (1.0 - p.cloudFrac) * work / cores
+    val uploadTime =
+      p.cloudFrac * cloudBytesPerVideoSec * analyzedStreams * segSec / uplinkBytesPerSec
     math.max(localTime, uploadTime)
   }
 }

@@ -40,10 +40,6 @@ object KMeansLocal {
       }
       best
     }
-
-    /** Distance of v to its nearest center — drift / novel-content signal. */
-    def nearestDistance(v: Array[Double]): Double =
-      math.sqrt(centers.map(sqDist(_, v)).min)
   }
 
   private def sqDist(a: Array[Double], b: Array[Double]): Double = {
