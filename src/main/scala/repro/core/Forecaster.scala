@@ -110,23 +110,3 @@ final class Forecaster(val spec: ForecastSpec, val nCategories: Int, segSec: Dou
     errs.sum / errs.size
   }
 }
-
-object Forecaster {
-  /** Naive predictor: the histogram of the whole input window — a sanity
-    * baseline the trained net must beat or match in tests.
-    */
-  def lastWindowMae(spec: ForecastSpec, nCategories: Int, segSec: Double,
-                    cats: Array[Int]): Double = {
-    val f  = new Forecaster(spec, nCategories, segSec)
-    val ws = f.windows(cats)
-    if (ws.isEmpty) return Double.NaN
-    val errs = ws.map { case (x, y) =>
-      // mean of the nSplits chunk histograms == full-window histogram
-      val p = Array.tabulate(nCategories) { c =>
-        (0 until spec.nSplits).map(s => x(s * nCategories + c)).sum / spec.nSplits
-      }
-      p.zip(y).map { case (a, b) => math.abs(a - b) }.sum / nCategories
-    }
-    errs.sum / errs.size
-  }
-}

@@ -11,9 +11,9 @@ import repro.sim.{Placement, Probe}
   * the paper's online phase): video-stream batches land as files; each
   * micro-batch is Transformed with the knob configuration the switcher
   * currently holds, detections are Loaded into an append-only store, and the
-  * batch's reported quality drives the next switch — the driver-side
-  * `foreachBatch` hook is exactly where the paper's switcher sits between
-  * segments.
+  * batch's reported quality, counted inside that same write, drives the next
+  * switch — the driver-side `foreachBatch` hook is exactly where the paper's
+  * switcher sits between segments.
   */
 final class StreamingIngest(model: SkyscraperModel, plan: KnobPlan) {
 
@@ -46,18 +46,22 @@ final class StreamingIngest(model: SkyscraperModel, plan: KnobPlan) {
     StructField("load", DoubleType),
   ))
 
+  /** Transform and Load one batch with the switcher's config. The write is
+    * the batch's only Spark job and also counts the reported quality that
+    * the switcher observes; an empty batch leaves `chosenLog` and the
+    * switcher untouched.
+    */
   def processBatch(batch: DataFrame, outputDir: String): Unit = {
-    if (batch.isEmpty) return
     val cfgIdx = switcher.choose(LocalProbe).cfgIdx
-    chosenLog += cfgIdx
     val p = model.configs(cfgIdx)
-    val sampleEvery = StreamingIngest.sampleEveryOf(p)
-    val (det, _, qual) =
-      VetlPipeline.runConfig(batch.sparkSession, model.workload, batch, p, sampleEvery)
+    val (det, quality) = VetlPipeline.transformObserved(
+      VetlPipeline.objects(model.workload, batch), p, StreamingIngest.sampleEveryOf(p))
     det.withColumn("cfgId", lit(p.id))
       .write.mode("append").parquet(outputDir)
-    val meanQ = qual.agg(avg("quality")).collect()(0).getDouble(0)
-    switcher.observe(cfgIdx, meanQ)
+    for (q <- quality()) {
+      chosenLog += cfgIdx
+      switcher.observe(cfgIdx, q)
+    }
   }
 
   /** Start the file-source streaming query; one file per trigger so every

@@ -1,6 +1,6 @@
 package repro.etl
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Observation}
 import org.apache.spark.sql.functions._
 import repro.util.DetHash
 import repro.workload.{ConfigProfile, Workload}
@@ -13,7 +13,8 @@ import repro.workload.{ConfigProfile, Workload}
   * robustness/difficulty-dependent probability — the deterministic-hash twin
   * of the CV model the paper runs. Load: detections aggregate into the
   * application-specific query format (e.g. per-segment counts) for a
-  * relational engine.
+  * relational engine. The Transform counts its reported quality in the same
+  * pass ([[transformObserved]]).
   *
   * Every step is expressible in portable SQL, so results are verified
   * against DuckDB via `repro.Oracle`.
@@ -41,20 +42,45 @@ object VetlPipeline {
   /** Probability that config `p` detects an object at the given difficulty —
     * the same robustness law as the segment-level quality model.
     */
-  def detectProbCol(p: ConfigProfile, difficulty: org.apache.spark.sql.Column) =
+  def detectProbCol(p: ConfigProfile, difficulty: Column) =
     greatest(lit(0.05), least(lit(1.0), lit(1.0) - lit(1.0 - p.rho) * difficulty))
+
+  /** The Transform's predicate: the frame is sampled and the hash detects. */
+  private def sampled(sampleEvery: Int): Column = pmod(col("frameNo"), lit(sampleEvery)) === 0
+  private def detected(p: ConfigProfile, sampleEvery: Int): Column =
+    sampled(sampleEvery) &&
+      DetHash.uniformCol(col("segId"), col("objId") + lit(7L), col("frameNo")) <
+        detectProbCol(p, col("difficulty"))
 
   /** Transform: sample frames per the config's frame-rate knob, then detect
     * objects via the deterministic hash.
     *
     * @param sampleEvery process every n-th frame (30/fps for the workloads)
     */
-  def transform(objectsDf: DataFrame, p: ConfigProfile, sampleEvery: Int): DataFrame = {
-    val u = DetHash.uniformCol(col("segId"), col("objId") + lit(7L), col("frameNo"))
-    objectsDf
-      .where(pmod(col("frameNo"), lit(sampleEvery)) === 0)
-      .where(u < detectProbCol(p, col("difficulty")))
-      .select(col("segId"), col("frameNo"), col("objId"))
+  def transform(objectsDf: DataFrame, p: ConfigProfile, sampleEvery: Int): DataFrame =
+    objectsDf.where(detected(p, sampleEvery)).select(col("segId"), col("frameNo"), col("objId"))
+
+  /** [[transform]], with its reported quality counted in the same pass —
+    * the user-defined quality metric the paper's API extracts "anyways"
+    * while running the job (§4.2) — by the Transform's own predicate, so the
+    * quality and the loaded rows cannot drift apart. The quality is
+    * Σ detections ÷ Σ sampled object-frames over all segments (for several
+    * segments a pooled ratio, not the mean of per-segment ratios), or None
+    * when nothing was sampled (empty input). Read it only after an action on
+    * the detections (the Load's write) has run; until then it blocks.
+    */
+  def transformObserved(objectsDf: DataFrame, p: ConfigProfile,
+                        sampleEvery: Int): (DataFrame, () => Option[Double]) = {
+    val seen = Observation()
+    val counted = objectsDf.observe(seen,
+      count_if(sampled(sampleEvery)) as "sampled",
+      count_if(detected(p, sampleEvery)) as "detections")
+    val quality = () => {
+      val m = seen.get
+      val n = m("sampled").asInstanceOf[Long]
+      if (n == 0) None else Some(m("detections").asInstanceOf[Long].toDouble / n)
+    }
+    (transform(counted, p, sampleEvery), quality)
   }
 
   /** SQL twin of [[transform]]+[[loadCounts]] for the DuckDB oracle: count
@@ -92,28 +118,4 @@ object VetlPipeline {
        |       COUNT(DISTINCT objId) AS objects
        |FROM detections
        |GROUP BY 1""".stripMargin
-
-  /** Reported per-segment quality of a Transform run: detections achieved
-    * relative to the per-object maximum — the user-defined quality metric
-    * the paper's API extracts "anyways" while running the job.
-    */
-  def reportedQuality(objectsDf: DataFrame, detections: DataFrame, sampleEvery: Int): DataFrame = {
-    val possible = objectsDf
-      .where(pmod(col("frameNo"), lit(sampleEvery)) === 0)
-      .groupBy("segId").agg(count(lit(1)) as "possible")
-    val got = detections.groupBy("segId").agg(count(lit(1)) as "got")
-    possible.join(got, Seq("segId"), "left")
-      .select(col("segId"),
-              (coalesce(col("got"), lit(0L)).cast("double") / col("possible")) as "quality")
-  }
-
-  /** Full E2E run of the pipeline for one config over a segments DataFrame;
-    * returns (detections, loaded counts, per-segment quality).
-    */
-  def runConfig(spark: SparkSession, w: Workload, segments: DataFrame,
-                p: ConfigProfile, sampleEvery: Int): (DataFrame, DataFrame, DataFrame) = {
-    val objs = objects(w, segments)
-    val det  = transform(objs, p, sampleEvery)
-    (det, loadCounts(det), reportedQuality(objs, det, sampleEvery))
-  }
 }

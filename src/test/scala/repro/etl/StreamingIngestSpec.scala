@@ -1,8 +1,11 @@
 package repro.etl
 
 import java.nio.file.Files
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.scalatest.concurrent.TimeLimits.failAfter
+import org.scalatest.time.{Seconds, Span}
+import repro.{Oracle, SparkSpec}
 import repro.core.{Hyper, ForecastSpec, KnobPlan, Skyscraper}
 import repro.workload.Covid
 
@@ -76,19 +79,63 @@ class StreamingIngestSpec extends SparkSpec {
     assert(ingest.chosenLog.distinct.size >= 2, s"chosen=${ingest.chosenLog}")
   }
 
-  test("reported quality feeds category switching") {
-    val ingest = new StreamingIngest(model, mkPlan())
-    val seg = Covid.stream(spark, 1).limit(30).cache()
-    val tmp = Files.createTempDirectory("vetl-batch").toFile
-    val out = new java.io.File(tmp, "out").getAbsolutePath
+  /** The cheapest config, and a plan that pins it in every category, so
+    * every batch runs it whatever category the switcher holds.
+    */
+  private lazy val cheapest = model.configs.indices.minBy(model.configs(_).unitCost)
+  private lazy val pinnedPlan =
+    KnobPlan(Array.tabulate(model.cats.n, model.configs.length) { (_, k) =>
+      if (k == cheapest) 1.0 else 0.0
+    })
 
-    val catBefore = ingest.switcher.currentCategory
-    ingest.processBatch(seg.withColumn("difficulty", lit(0.95)), out)
-    val catHard = ingest.switcher.currentCategory
-    ingest.processBatch(seg.withColumn("difficulty", lit(0.02)), out)
-    val catEasy = ingest.switcher.currentCategory
-    // Hard and easy content should not land in the same category.
-    assert(catHard != catEasy || catBefore != catHard,
-      s"before=$catBefore hard=$catHard easy=$catEasy")
+  /** 30 COVID segments with their difficulty forced to `d`. */
+  private lazy val seg30 = Covid.stream(spark, 1).limit(30).cache()
+  private def batchAt(d: Double): DataFrame = seg30.withColumn("difficulty", lit(d))
+
+  test("reported quality feeds category switching") {
+    val ingest = new StreamingIngest(model, pinnedPlan)
+    val tmp = Files.createTempDirectory("vetl-batch").toFile
+    val p = model.configs(cheapest)
+    val every = StreamingIngest.sampleEveryOf(p)
+    val framesSampled = ((VetlPipeline.BaseFps * Covid.segSec).toInt + every - 1) / every
+
+    val cats = Seq(0.95, 0.02).zipWithIndex.map { case (d, i) =>
+      val batch = batchAt(d)
+      val out = new java.io.File(tmp, s"out$i").getAbsolutePath
+      ingest.processBatch(batch, out)
+      assert(ingest.chosenLog == Seq.fill(i + 1)(cheapest), s"chosen=${ingest.chosenLog}")
+
+      // The quality the switcher must have seen, from the loaded rows alone:
+      // detections ÷ sampled object-frames, with 1 + ⌊12·d⌋ objects a frame.
+      val loaded = spark.read.parquet(out)
+      Oracle.assertEquivalent(
+        loaded.groupBy("segId").agg(count(lit(1)) as "detections"),
+        VetlPipeline.transformCountsSql(p, every),
+        "objects" -> VetlPipeline.objects(Covid, batch))
+      val objects = batch.select("difficulty").collect().map(r => 1 + (r.getDouble(0) * 12).toInt).sum
+      val q = loaded.count().toDouble / (framesSampled.toLong * objects)
+      assert(ingest.switcher.currentCategory == model.cats.classifyOnline(cheapest, q),
+             s"d=$d q=$q category=${ingest.switcher.currentCategory}")
+      ingest.switcher.currentCategory
+    }
+    val Seq(catHard, catEasy) = cats
+    assert(catHard != catEasy, s"hard=$catHard easy=$catEasy")
+  }
+
+  test("an empty batch leaves the ingest state unchanged") {
+    val ingest = new StreamingIngest(model, pinnedPlan)
+    val out = new java.io.File(Files.createTempDirectory("vetl-empty").toFile, "out").getAbsolutePath
+    ingest.processBatch(batchAt(0.95), out)
+    val (chosen, category, rows) =
+      (ingest.chosenLog.toSeq, ingest.switcher.currentCategory, spark.read.parquet(out).count())
+    val empties = Seq(
+      spark.createDataFrame(spark.sparkContext.emptyRDD[Row], ingest.schema),
+      spark.createDataFrame(java.util.List.of[Row](), ingest.schema))
+    for (empty <- empties) {
+      failAfter(Span(60, Seconds)) { ingest.processBatch(empty, out) }
+      assert(ingest.chosenLog.toSeq == chosen)
+      assert(ingest.switcher.currentCategory == category)
+      assert(spark.read.parquet(out).count() == rows)
+    }
   }
 }

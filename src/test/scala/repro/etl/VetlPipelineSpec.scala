@@ -1,8 +1,9 @@
 package repro.etl
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.workload.Covid
+import repro.workload.{ConfigProfile, Covid}
 
 class VetlPipelineSpec extends SparkSpec {
 
@@ -65,21 +66,31 @@ class VetlPipelineSpec extends SparkSpec {
     assert(dense > sparse * 5, s"dense=$dense sparse=$sparse")
   }
 
+  /** Reported quality of one observed Transform run over `objsDf`, after
+    * the detections have been counted (the action that fills the
+    * observation), and that count.
+    */
+  private def observedQuality(objsDf: DataFrame, p: ConfigProfile, every: Int): (Double, Long) = {
+    val (det, quality) = VetlPipeline.transformObserved(objsDf, p, every)
+    val n = det.count()
+    (quality().get, n)
+  }
+
   test("reported quality lies in [0,1] and tracks robustness") {
-    val (_, _, qLow) = VetlPipeline.runConfig(spark, Covid, segments, lowCfg, 6)
-    val (_, _, qTop) = VetlPipeline.runConfig(spark, Covid, segments, topCfg, 6)
-    val badRange = qLow.where(col("quality") < 0 || col("quality") > 1).count()
-    assert(badRange == 0)
-    val mLow = qLow.agg(avg("quality")).collect()(0).getDouble(0)
-    val mTop = qTop.agg(avg("quality")).collect()(0).getDouble(0)
-    assert(mTop > mLow, s"top=$mTop low=$mLow")
+    val (qLow, nLow) = observedQuality(objs, lowCfg, 6)
+    val (qTop, _) = observedQuality(objs, topCfg, 6)
+    assert(qLow >= 0 && qLow <= 1 && qTop >= 0 && qTop <= 1, s"top=$qTop low=$qLow")
+    assert(qTop > qLow, s"top=$qTop low=$qLow")
+    // The count is over the Transform's own rows: detections ÷ sampled
+    // object-frames, with every 6th of the 60 frames per segment sampled.
+    assert(nLow == VetlPipeline.transform(objs, lowCfg, 6).count())
+    val sampled = objs.where(col("frameNo") % 6 === 0).count()
+    assert(qLow == nLow.toDouble / sampled, s"low=$qLow n=$nLow sampled=$sampled")
   }
 
   test("reported quality is lower on difficult segments (cheap config)") {
-    val (_, _, q) = VetlPipeline.runConfig(spark, Covid, segments, lowCfg, 6)
-    val j = q.join(segments.select("segId", "difficulty"), "segId")
-    val hard = j.where(col("difficulty") > 0.6).agg(avg("quality")).collect()(0).getDouble(0)
-    val easy = j.where(col("difficulty") < 0.2).agg(avg("quality")).collect()(0).getDouble(0)
+    val (hard, _) = observedQuality(objs.where(col("difficulty") > 0.6), lowCfg, 6)
+    val (easy, _) = observedQuality(objs.where(col("difficulty") < 0.2), lowCfg, 6)
     assert(easy > hard + 0.1, s"easy=$easy hard=$hard")
   }
 
